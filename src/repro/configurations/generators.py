@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from repro._deps import np
+from repro._deps import HAVE_NUMPY, np
 
 from ..exceptions import ConfigurationError
 from ..core.configuration import Configuration
@@ -79,8 +79,13 @@ def random_configuration(
     rng = make_rng(seed)
     limit = protocol.num_states if include_extras else protocol.num_ranks
     states = rng.integers(0, limit, size=protocol.num_agents)
-    return Configuration.from_agents(
-        (int(s) for s in states), protocol.num_states
+    if not HAVE_NUMPY:
+        # The pure-Python generator's draws, counted agent by agent.
+        return Configuration.from_agents(
+            (int(s) for s in states), protocol.num_states
+        )
+    return Configuration(
+        np.bincount(states, minlength=protocol.num_states).tolist()
     )
 
 

@@ -32,12 +32,12 @@ class Configuration:
     __slots__ = ("_counts",)
 
     def __init__(self, counts: Sequence[int]) -> None:
-        values = [int(c) for c in counts]
-        for state, count in enumerate(values):
-            if count < 0:
-                raise ConfigurationError(
-                    f"state {state} has negative count {count}"
-                )
+        values = list(map(int, counts))
+        if values and min(values) < 0:
+            state = next(s for s, count in enumerate(values) if count < 0)
+            raise ConfigurationError(
+                f"state {state} has negative count {values[state]}"
+            )
         self._counts = values
 
     # ------------------------------------------------------------------

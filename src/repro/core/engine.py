@@ -12,7 +12,10 @@ at every step — and report results in the same shape:
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -154,6 +157,50 @@ def make_rng(
     )
 
 
+class _GcPause(ContextDecorator):
+    """Pause the cyclic garbage collector while engines are built.
+
+    An engine build allocates millions of long-lived tuples and lists at
+    n ≈ 10⁶; each allocation burst past the collector's thresholds
+    triggers a collection that walks every container built so far,
+    which costs more than the build itself.  Nothing built here is
+    garbage, so the pause only defers work the next collection does
+    anyway.
+
+    Re-entrant and thread-safe: a lock-protected depth count lets nested
+    builds and concurrent builds (``repro serve`` builds in an executor
+    thread) share one pause, and the collector is re-enabled on the
+    last exit only if it was enabled when the first entry paused it —
+    a caller's own ``gc.disable()`` stays in force.  Never wrap
+    ``run()`` or a per-event path in it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> "_GcPause":
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> bool:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+        return False
+
+
+#: The process-wide build pause (the collector itself is process-wide).
+_gc_paused = _GcPause()
+
+
+@_gc_paused
 def build_engine(
     protocol: PopulationProtocol,
     configuration: Configuration,

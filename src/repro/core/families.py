@@ -18,12 +18,20 @@ its transition function (verified by :func:`check_family_coverage`).
 
 All weights are exact Python integers (pair counts), updated
 incrementally on every agent count change.
+
+The jump engine's fused index reads only a family's *structure* (its
+membership lists), so the families whose weight bookkeeping is O(states)
+— :class:`SameStatePairs` and :class:`OrderedProduct` — build their
+Fenwick trees and membership maps from ``counts`` on first use (a weight
+read, a draw, a count change or a coverage test).  Read :attr:`Family.weight`
+before mutating the ``counts`` list a family was built from.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..exceptions import SimulationError
 from .fenwick import FenwickTree
@@ -105,34 +113,43 @@ class SameStatePairs(Family):
     ring of traps) as well as the same-state rules of the richer ones.
     """
 
-    __slots__ = ("_has_rule", "_fenwick")
+    __slots__ = ("_has_rule", "_counts", "_fenwick")
 
     def __init__(self, counts: Sequence[int], rule_states: Iterable[int]) -> None:
-        num_states = len(counts)
-        self._has_rule = [False] * num_states
+        self._has_rule = [False] * len(counts)
         for state in rule_states:
             self._has_rule[state] = True
-        weights = [
-            counts[s] * (counts[s] - 1) if self._has_rule[s] else 0
-            for s in range(num_states)
-        ]
-        self._fenwick = FenwickTree.from_values(weights)
+        self._counts = counts
+        self._fenwick: Optional[FenwickTree] = None
+
+    def _tree(self) -> FenwickTree:
+        """The per-state weight tree, filled from ``counts`` on first use."""
+        fenwick = self._fenwick
+        if fenwick is None:
+            counts = self._counts
+            fenwick = self._fenwick = FenwickTree.from_values([
+                c * (c - 1) if has_rule else 0
+                for c, has_rule in zip(counts, self._has_rule)
+            ])
+            self._counts = None
+        return fenwick
 
     @property
     def weight(self) -> int:
-        return self._fenwick.total
+        return self._tree().total
 
     def on_count_change(self, state: int, old: int, new: int) -> int:
         if not self._has_rule[state]:
             return 0
-        fenwick = self._fenwick
+        fenwick = self._tree()
         new_weight = new * (new - 1)
         delta = new_weight - fenwick.get(state)
         fenwick.set(state, new_weight)
         return delta
 
     def sample(self, rand_below: RandBelow) -> Tuple[int, int]:
-        state = self._fenwick.find(rand_below(self._fenwick.total))
+        fenwick = self._tree()
+        state = fenwick.find(rand_below(fenwick.total))
         return state, state
 
     def covers(self, initiator: int, responder: int) -> bool:
@@ -149,7 +166,7 @@ class SameStatePairs(Family):
 
     def rule_states(self) -> List[int]:
         """The states carrying a same-state rule (fused-index compilation)."""
-        return [s for s, has_rule in enumerate(self._has_rule) if has_rule]
+        return list(compress(range(len(self._has_rule)), self._has_rule))
 
 
 class OrderedProduct(Family):
@@ -163,8 +180,8 @@ class OrderedProduct(Family):
     (A = reset-line states, B = rank states).
     """
 
-    __slots__ = ("_initiators", "_responders", "_side", "_pos_of",
-                 "_init_fenwick", "_resp_fenwick")
+    __slots__ = ("_initiators", "_responders", "_counts", "_side",
+                 "_pos_of", "_init_fenwick", "_resp_fenwick")
 
     #: ``_side`` codes: a state is on one side at most.
     NONE, INITIATOR, RESPONDER = 0, 1, 2
@@ -175,34 +192,47 @@ class OrderedProduct(Family):
         initiators: Sequence[int],
         responders: Sequence[int],
     ) -> None:
-        init_set = set(initiators)
-        if init_set & set(responders):
+        self._initiators = list(initiators)
+        self._responders = list(responders)
+        if not set(self._initiators).isdisjoint(self._responders):
             raise SimulationError(
                 "OrderedProduct initiator/responder groups must be disjoint"
             )
-        self._initiators = list(initiators)
-        self._responders = list(responders)
+        # Membership map and side trees are built on first use.
+        self._counts = counts
+        self._side: Optional[List[int]] = None
+        self._pos_of: List[int] = []
+        self._init_fenwick: Optional[FenwickTree] = None
+        self._resp_fenwick: Optional[FenwickTree] = None
+
+    def _build(self) -> None:
+        """Fill the membership map and both side trees from ``counts``."""
+        counts = self._counts
         num_states = len(counts)
         # One fused membership map (side code + in-side position) so a
         # count change resolves its side with a single lookup and states
         # on neither side skip all Fenwick work.
-        self._side = [self.NONE] * num_states
-        self._pos_of = [-1] * num_states
+        side = [self.NONE] * num_states
+        pos_of = [-1] * num_states
         for pos, state in enumerate(self._initiators):
-            self._side[state] = self.INITIATOR
-            self._pos_of[state] = pos
+            side[state] = self.INITIATOR
+            pos_of[state] = pos
         for pos, state in enumerate(self._responders):
-            self._side[state] = self.RESPONDER
-            self._pos_of[state] = pos
+            side[state] = self.RESPONDER
+            pos_of[state] = pos
         self._init_fenwick = FenwickTree.from_values(
-            counts[s] for s in self._initiators
+            [counts[s] for s in self._initiators]
         )
         self._resp_fenwick = FenwickTree.from_values(
-            counts[s] for s in self._responders
+            [counts[s] for s in self._responders]
         )
+        self._side, self._pos_of = side, pos_of
+        self._counts = None
 
     @property
     def weight(self) -> int:
+        if self._side is None:
+            self._build()
         return self._init_fenwick.total * self._resp_fenwick.total
 
     @property
@@ -216,6 +246,8 @@ class OrderedProduct(Family):
         return list(self._responders)
 
     def on_count_change(self, state: int, old: int, new: int) -> int:
+        if self._side is None:
+            self._build()
         side = self._side[state]
         if side == self.NONE:
             return 0
@@ -226,6 +258,8 @@ class OrderedProduct(Family):
         return self._init_fenwick.total * (new - old)
 
     def sample(self, rand_below: RandBelow) -> Tuple[int, int]:
+        if self._side is None:
+            self._build()
         initiator_pos = self._init_fenwick.find(
             rand_below(self._init_fenwick.total)
         )
@@ -235,6 +269,8 @@ class OrderedProduct(Family):
         return self._initiators[initiator_pos], self._responders[responder_pos]
 
     def covers(self, initiator: int, responder: int) -> bool:
+        if self._side is None:
+            self._build()
         return (
             self._side[initiator] == self.INITIATOR
             and self._side[responder] == self.RESPONDER

@@ -13,6 +13,7 @@ is exact — no floating point drift can bias the sampler.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, List, Sequence
 
 __all__ = ["FenwickTree", "fill_tree"]
@@ -25,25 +26,22 @@ def fill_tree(tree: List[int], size: int, values: Sequence[int]) -> int:
     than ``size`` (missing slots count as zero — used for power-of-two
     padded trees, whose top node is then the total).  In-place filling
     matters: hot loops hold direct references to the list, so a resync
-    must not swap the object out from under them.  The classic O(N)
-    push-up: every node forwards its accumulated partial sum to its
-    parent, in index order.
+    must not swap the object out from under them.  Node ``p`` sums the
+    ``p & -p`` values ending at slot ``p``; the nodes sharing one low
+    bit ``L`` are every other block sum of width ``L``, and the width-2L
+    block sums are pairwise sums of the width-L ones, so the fill is
+    ``log2(size)`` strided slice assignments.
     """
-    for i in range(size + 1):
-        tree[i] = 0
-    total = 0
-    num_values = len(values)
-    for i in range(size):
-        pos = i + 1
-        if i < num_values:
-            value = values[i]
-            total += value
-            tree[pos] += value
-        acc = tree[pos]
-        if acc:
-            parent = pos + (pos & -pos)
-            if parent <= size:
-                tree[parent] += acc
+    blocks = list(values)
+    del blocks[size:]
+    total = sum(blocks)
+    blocks.extend([0] * (size - len(blocks)))
+    tree[0] = 0
+    low = 1
+    while low <= size:
+        tree[low::2 * low] = blocks[::2]
+        blocks = list(map(add, blocks[::2], blocks[1::2]))
+        low *= 2
     return total
 
 

@@ -618,7 +618,9 @@ class FusedIndex:
         kinds: List[int] = []
         payloads: List[object] = []
         weights: List[int] = []
-        steps: List[List[tuple]] = [[] for _ in range(num_states)]
+        # Per-state update plans, grown tuple by tuple (most states
+        # have one or two steps).
+        steps: List[tuple] = [()] * num_states
 
         # Composite slots first: the hot loop short-circuits the find
         # for them, and a handful of comparisons resolves the draws that
@@ -635,16 +637,15 @@ class FusedIndex:
                 kinds.append(PRODUCT)
                 payloads.append(payload)
                 weights.append(payload.weight())
-                for pos, state in enumerate(payload.initiators):
-                    steps[state].append(
-                        (PRODUCT, payload.init_tree, pos + 1,
-                         payload.init_size, slot, payload, True)
-                    )
-                for pos, state in enumerate(payload.responders):
-                    steps[state].append(
-                        (PRODUCT, payload.resp_tree, pos + 1,
-                         payload.resp_size, slot, payload, False)
-                    )
+                for states, tree, size, initiator in (
+                    (payload.initiators, payload.init_tree,
+                     payload.init_size, True),
+                    (payload.responders, payload.resp_tree,
+                     payload.resp_size, False),
+                ):
+                    for node, state in enumerate(states, 1):
+                        steps[state] += ((PRODUCT, tree, node, size, slot,
+                                          payload, initiator),)
             elif type(family) is TriangularLine:
                 slot = len(kinds)
                 payload = _TriangularSlot(counts, family.line_states())
@@ -652,7 +653,7 @@ class FusedIndex:
                 payloads.append(payload)
                 weights.append(payload.weight())
                 for pos, state in enumerate(payload.line):
-                    steps[state].append((TRIANGULAR, payload, pos, slot))
+                    steps[state] += ((TRIANGULAR, payload, pos, slot),)
             else:
                 # Opaque adapter: the family keeps maintaining its own
                 # weight; the index mirrors it in one slot.
@@ -661,19 +662,17 @@ class FusedIndex:
                 payloads.append(family)
                 weights.append(family.weight)
                 for state in family.states():
-                    steps[state].append((OPAQUE, family, slot))
+                    steps[state] += ((OPAQUE, family, slot),)
         # Hybrid same-state sampling: one proposal-pool pseudo-slot at
         # the end of the composite block carries the pooled mass; the
         # per-state slots below hold only the tree-mode residue (value 0
         # while pooled — exact for any partition).
-        rule_states = [
-            state
-            for family in same_state
-            for state in family.rule_states()
-        ]
+        rule_lists = [family.rule_states() for family in same_state]
         pool: Optional[_ProposalPool] = None
-        if rule_states:
-            pool = _ProposalPool(num_states, rule_states)
+        if any(rule_lists):
+            pool = _ProposalPool(
+                num_states, [state for rules in rule_lists for state in rules]
+            )
             pool.classify(counts)
             pool.slot = len(kinds)
             kinds.append(PROPOSAL)
@@ -683,28 +682,31 @@ class FusedIndex:
         num_composite = len(kinds)
         self.num_composite = num_composite
         pool_positions = pool.positions if pool is not None else None
-        for family in same_state:
-            for state in family.rule_states():
-                slot = len(kinds)
-                kinds.append(SAME)
-                payloads.append(state)
-                weights.append(
-                    0 if pool_positions[state] is not None
-                    else counts[state] * (counts[state] - 1)
-                )
-                # Third field: the slot's first Fenwick node (the tree
-                # only spans the same-state block).
-                steps[state].append((SAME, slot, slot - num_composite + 1))
+        for rules in rule_lists:
+            base = len(kinds)
+            kinds.extend([SAME] * len(rules))
+            payloads.extend(rules)
+            weights.extend([
+                0 if pool_positions[state] is not None
+                else counts[state] * (counts[state] - 1)
+                for state in rules
+            ])
+            # Third field: the slot's first Fenwick node (the tree only
+            # spans the same-state block).
+            node = base - num_composite + 1
+            for offset, state in enumerate(rules):
+                steps[state] += ((SAME, base + offset, node + offset),)
 
         self.num_slots = len(kinds)
         self.fenwick_size = self.num_slots - num_composite
         self.slot_kind = kinds
         self.slot_payload = payloads
         self.values = weights
-        fenwick = FenwickTree.from_values(weights[num_composite:])
-        self.tree = fenwick._tree
-        self.total = sum(weights[:num_composite]) + fenwick.total
-        self.state_steps = [tuple(entries) for entries in steps]
+        self.tree = [0] * (self.fenwick_size + 1)
+        self.total = sum(weights[:num_composite]) + fill_tree(
+            self.tree, self.fenwick_size, weights[num_composite:]
+        )
+        self.state_steps = steps
 
     def layout(self) -> tuple:
         """Plain structural description of the slot layout.

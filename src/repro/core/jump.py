@@ -61,6 +61,8 @@ how many null interactions are skipped, which is what makes the paper's
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from repro._deps import np
@@ -177,12 +179,6 @@ class JumpEngine:
         self._total_pairs = n * (n - 1)
         self.interactions = 0
         self.events = 0
-        # The families are compiled into the fused index and then only
-        # serve as the structural description; all mutable sampling
-        # state lives in the index.
-        families = protocol.build_families(self.counts)
-        self._fused = FusedIndex(families, self._num_states, self.counts)
-        self._weight = self._fused.total
         self._uniforms = rng.random(_UNIFORM_BATCH)
         self._uniform_pos = 0
         self._raws: List[int] = []
@@ -196,7 +192,21 @@ class JumpEngine:
             [None] * self._num_states
             if protocol.compile_transitions else None
         )
+        # The families are compiled into the fused index and then only
+        # serve as the structural description; all mutable sampling
+        # state lives in the index.
+        families = protocol.build_families(self.counts)
         self._ss_table = self._compile_same_state_table(families)
+        if self._ss_table is None:
+            self._fused_index: Optional[FusedIndex] = FusedIndex(
+                families, self._num_states, self.counts
+            )
+            self._weight = self._fused_index.total
+        else:
+            # The same-state loop never reads the index: it is built
+            # from the live counts on first use (see ``_fused``).
+            self._fused_index = None
+            self._weight = self._same_state_weight()
 
     def _compile_same_state_table(self, families):
         """Per-state transition table for same-state-only protocols.
@@ -213,20 +223,31 @@ class JumpEngine:
         family = families[0]
         if type(family) is not SameStatePairs:
             return None
-        rule_states = {s for s, _ in family.pairs()}
+        rule_states = family.rule_states()
+        rule = [0] * self._num_states
+        for s in rule_states:
+            rule[s] = 1
+        delta = self._protocol.delta
         table: List[Optional[tuple]] = [None] * self._num_states
         for s in rule_states:
-            out = self._protocol.delta(s, s)
+            out = delta(s, s)
             if out is None:
                 return None
             ti, tj = out
-            # Third field: weight coefficient — Δ(c(c−1)) for a count
-            # move c0 → c1 = c0+d is d·(c0+c1−1), and 0 for states
-            # without a same-state rule (they never contribute to W).
-            ops: _Ops = tuple(
-                (st, d, d if st in rule_states else 0)
-                for st, d in _transition_ops(s, s, ti, tj)
-            )
+            # The same-state shapes of ``_transition_ops``, each op with
+            # a third field: the weight coefficient — Δ(c(c−1)) for a
+            # count move c0 → c1 = c0+d is d·(c0+c1−1), and 0 for
+            # states without a same-state rule (they never contribute
+            # to W).
+            ops: _Ops
+            if ti == tj:
+                ops = () if ti == s else ((s, -2, -2), (ti, 2, 2 * rule[ti]))
+            elif ti == s:
+                ops = ((s, -1, -1), (tj, 1, rule[tj]))
+            elif tj == s:
+                ops = ((s, -1, -1), (ti, 1, rule[ti]))
+            else:
+                ops = ((s, -2, -2), (ti, 1, rule[ti]), (tj, 1, rule[tj]))
             table[s] = (ti, tj, ops)
         return table
 
@@ -274,6 +295,13 @@ class JumpEngine:
     def productive_weight(self) -> int:
         """Current number of productive ordered pairs ``W`` (cached)."""
         return self._weight
+
+    def _same_state_weight(self) -> int:
+        """``W`` of a same-state-only protocol, summed from the counts."""
+        # Rule states are exactly those with a table entry; Σc(c−1) is
+        # Σc² − Σc over them.
+        rule_counts = list(compress(self.counts, self._ss_table))
+        return sum(map(mul, rule_counts, rule_counts)) - sum(rule_counts)
 
     def recomputed_weight(self) -> int:
         """``W`` re-summed from fresh families (debug / test cross-check).
@@ -328,17 +356,35 @@ class JumpEngine:
                 f"engine has {self._protocol.num_agents}"
             )
         self.counts = counts
-        # In-place index resync keeps the compiled transition programs
-        # valid; only indexes with opaque family slots need a rebuild.
-        if self._fused.resync(counts):
-            self._weight = self._fused.total
-        else:
-            self._rebuild_fused(counts)
+        self._canonicalise_index()
         if self._instr is not None:
             self._instr.add("resyncs")
             self._instr.mark(
                 "resync", events=self.events, interactions=self.interactions
             )
+
+    @property
+    def _fused(self) -> FusedIndex:
+        """The fused index, built from the live counts when absent.
+
+        Same-state-only protocols run on the per-state table, so their
+        index is built lazily — on first use by ``step()``, the general
+        loop or a debug check — and dropped whenever the fast loop
+        leaves it stale.  A fresh build is exactly what a resync of an
+        existing index would hold (both are pure functions of the
+        counts).
+        """
+        index = self._fused_index
+        if index is None:
+            index = self._fused_index = FusedIndex(
+                self._protocol.build_families(self.counts),
+                self._num_states, self.counts,
+            )
+            # Compiled programs are bound to the old index's payloads.
+            if self._pair_table is not None:
+                self._pair_table = {}
+                self._ss_progs = [None] * self._num_states
+        return index
 
     def _rebuild_fused(self, counts: List[int]) -> None:
         """Recompile the fused index (and weight) from a counts list.
@@ -347,13 +393,9 @@ class JumpEngine:
         the *old* index's payload objects, so it must be invalidated
         whenever the index is rebuilt — entries recompile lazily.
         """
-        self._fused = FusedIndex(
-            self._protocol.build_families(counts), self._num_states, counts
-        )
+        self.counts = counts
+        self._fused_index = None
         self._weight = self._fused.total
-        if self._pair_table is not None:
-            self._pair_table = {}
-            self._ss_progs = [None] * self._num_states
 
     def _canonicalise_index(self) -> None:
         """Make the fused index a pure function of the live counts.
@@ -362,9 +404,13 @@ class JumpEngine:
         the re-partition the fast loops run periodically, so the step
         distribution is unchanged.  At recorder-free ``run()``
         boundaries the index is already canonical and this is a no-op
-        state-wise.
+        state-wise.  Same-state-only engines drop the index instead:
+        it is rebuilt from the counts on first use.
         """
-        if self._fused.resync(self.counts):
+        if self._ss_table is not None:
+            self._fused_index = None
+            self._weight = self._same_state_weight()
+        elif self._fused.resync(self.counts):
             self._weight = self._fused.total
         else:
             self._rebuild_fused(self.counts)
@@ -1487,8 +1533,8 @@ class JumpEngine:
         a 2× hysteresis band so mode switches — each O(n) to rebuild the
         active sampler's structure — stay rare.  Both samplers draw from
         the exact jump-chain distribution; only the constant factor
-        differs.  The fused index is left stale inside the loop and
-        rebuilt from the final counts on exit.
+        differs.  The fused index is not maintained inside the loop; it
+        is dropped on exit and rebuilt from the counts on first use.
         """
         protocol = self._protocol
         rng = self._rng
@@ -1724,9 +1770,8 @@ class JumpEngine:
                 mode_switches=c_modes - 1 if c_modes else 0,
             )
         # The loop mutated counts without notifying the fused index;
-        # resync it so step()/recorders stay usable after a fast run.
-        if not self._fused.resync(counts):
-            self._rebuild_fused(counts)
+        # drop it, so step()/recorders rebuild it from the live counts.
+        self._fused_index = None
         self._weight = weight
         # Discard any shared buffered draws so later step() calls start
         # from fresh batches of the (advanced) generator stream.

@@ -40,6 +40,7 @@ from typing import Dict, Optional, Tuple
 from repro._deps import np
 
 from ..exceptions import SimulationError
+from .engine import _gc_paused, make_rng
 
 __all__ = ["EngineSnapshot", "resume_engine"]
 
@@ -214,6 +215,7 @@ def capture_rng(rng: np.random.Generator) -> Dict:
     return copy.deepcopy(rng.bit_generator.state)
 
 
+@_gc_paused
 def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
     """Build a fresh engine of ``snapshot.kind`` and restore it.
 
@@ -253,8 +255,6 @@ def resume_engine(protocol, snapshot: EngineSnapshot, scheduler=None):
     configuration = Configuration(list(snapshot.counts))
     # Throwaway stream: restore() installs the captured state.  Routed
     # through make_rng so the numpy-free fallback generator works too.
-    from .engine import make_rng
-
     rng = make_rng(0)
     if snapshot.kind == "jump":
         engine = JumpEngine(protocol, configuration, rng)

@@ -1,4 +1,4 @@
-"""Reproduction experiments, one per paper artefact (see DESIGN.md §5)."""
+"""Reproduction experiments, one per paper artefact (``repro list``)."""
 
 from .base import SCALES, ExperimentResult, bench_scale_from_env, pick
 from .registry import (

@@ -33,7 +33,7 @@ from .base import ExperimentResult, pick
 
 EXPERIMENT_ID = "engine_equivalence"
 DESCRIPTION = "jump ≡ sequential ≡ numpy batch engines, distributionally"
-PAPER_REFERENCE = "methodology (DESIGN.md §4)"
+PAPER_REFERENCE = "methodology (README: Backends)"
 
 
 def _distribution(

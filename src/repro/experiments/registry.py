@@ -1,7 +1,7 @@
 """Registry of all reproduction experiments.
 
-Each entry maps an experiment id (the ids used in DESIGN.md §5 and
-EXPERIMENTS.md) to its runner and provenance.  The CLI and benchmarks
+Each entry maps an experiment id (the ids ``repro list`` prints and
+``repro report`` uses as section headings) to its runner and provenance.  The CLI and benchmarks
 resolve experiments exclusively through this registry.
 """
 
@@ -103,7 +103,7 @@ REGISTRY: Dict[str, Experiment] = {
 
 
 def list_experiments() -> List[Experiment]:
-    """All experiments, in registry (DESIGN.md) order."""
+    """All experiments, in registry order."""
     return list(REGISTRY.values())
 
 

@@ -73,7 +73,7 @@ PAPER_CLAIMS: Dict[str, str] = {
     ),
     "engine_equivalence": (
         "Methodology: the geometric-jump engine is exact — same "
-        "distribution as the naive scheduler (DESIGN.md §4)."
+        "distribution as the naive scheduler (README: Backends)."
     ),
     "state_time_tradeoff": (
         "The paper's theme: extra states buy speed (n² at x=0 down to "
@@ -268,7 +268,7 @@ def generate_report(
         result = experiment.runner(scale=scale, seed=seed, workers=workers)
         buffer.write(f"\n\n## `{eid}` — {experiment.description}\n\n")
         buffer.write(f"**Paper** ({experiment.paper_reference}): "
-                     f"{PAPER_CLAIMS.get(eid, '(see DESIGN.md)')}\n\n")
+                     f"{PAPER_CLAIMS.get(eid, '(no claim recorded)')}\n\n")
         verdict = _verdict(result)
         if verdict:
             buffer.write(f"**Measured:** {verdict}\n\n")

@@ -22,7 +22,7 @@ neighbours ``l0 = 2``, ``l1 = 3``, ``l2 = 8``.
 For ``num_vertices = 4`` (``m = 2``) the construction degenerates (only
 two leaves remain for the "cycle"), so we substitute ``K₄`` — still
 3-regular, connected, and of constant diameter, which is all the proofs
-use.  This deviation is recorded in DESIGN.md.
+use.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro._deps import np
 
 from ..core.configuration import Configuration
-from ..core.engine import make_rng
+from ..core.engine import _gc_paused, make_rng
 from ..core.faults import (
     adversarial_swap,
     arrive_agents,
@@ -228,6 +228,7 @@ def _distance(protocol, configuration) -> Optional[int]:
 # ----------------------------------------------------------------------
 # Engine plumbing
 # ----------------------------------------------------------------------
+@_gc_paused
 def _make_engine(
     scenario, protocol, configuration, rng, start_epoch=0,
     instrumentation=None, backend="python",

@@ -43,8 +43,11 @@ from ..scenarios.engine import run_scenario
 __all__ = ["JobControl", "execute_jobspec", "spawn_seeds"]
 
 #: Productive events between pause checks / progress records on a
-#: simulate job.  Purely an observation granularity — the trajectory is
-#: chunk-size-invariant because ``run()`` boundaries are exact.
+#: simulate job.  Not only an observation granularity: each ``run()``
+#: boundary re-partitions the sampler, so the trajectory depends on this
+#: chunk grid and differs from a one-shot run of the same spec.  What
+#: holds is that a pause/resume is bit-identical to an uninterrupted
+#: job on the same grid.
 SIMULATE_CHUNK_EVENTS = 4096
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import (
     AGProtocol,
+    Configuration,
     LineOfTrapsProtocol,
     RingOfTrapsProtocol,
     TreeRankingProtocol,
@@ -15,6 +16,8 @@ from repro import (
     random_configuration,
     solved_configuration,
 )
+from repro.configurations import generators
+from repro.core.engine import make_rng
 from repro.exceptions import ConfigurationError
 
 
@@ -83,6 +86,29 @@ class TestRandom:
         protocol = TreeRankingProtocol(20, k=3)
         config = random_configuration(protocol, seed=2, include_extras=False)
         assert config.agents_within(protocol.extra_states) == 0
+
+    @pytest.mark.parametrize("include_extras", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+    def test_bulk_and_agent_loop_paths_match_from_agents(
+        self, monkeypatch, seed, include_extras
+    ):
+        """The numpy bincount and the per-agent loop (the numpy-free
+        path) both count exactly the generator's draws."""
+        protocol = TreeRankingProtocol(500, k=4)
+        limit = protocol.num_states if include_extras else protocol.num_ranks
+        draws = make_rng(seed).integers(0, limit, size=protocol.num_agents)
+        expected = Configuration.from_agents(
+            (int(s) for s in draws), protocol.num_states
+        )
+        bulk = random_configuration(
+            protocol, seed=seed, include_extras=include_extras
+        )
+        monkeypatch.setattr(generators, "HAVE_NUMPY", False)
+        looped = random_configuration(
+            protocol, seed=seed, include_extras=include_extras
+        )
+        assert bulk == expected
+        assert looped == expected
 
     def test_extras_reachable_when_included(self):
         protocol = LineOfTrapsProtocol(m=2)

@@ -11,10 +11,12 @@ from repro import (
     RingOfTrapsProtocol,
     SequentialEngine,
     TrajectoryRecorder,
+    TreeDispersalProtocol,
     TreeRankingProtocol,
     run_protocol,
     solved_configuration,
 )
+from repro.core.jump import _transition_ops
 from repro.exceptions import (
     ConfigurationError,
     SimulationError,
@@ -263,6 +265,46 @@ class TestCompiledTransitionTables:
         engine = _engine(DynamicAG(12), Configuration.all_in_state(0, 12, 12))
         assert engine.run() is True
         assert engine.counts == [1] * 12
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [AGProtocol(12), RingOfTrapsProtocol(m=4), TreeDispersalProtocol(13)],
+        ids=lambda p: p.name,
+    )
+    def test_same_state_table_matches_transition_ops(self, protocol):
+        """Each entry is ``(ti, tj, ops)`` with ``_transition_ops``'s net
+        count changes plus the weight coefficient (``d`` for rule
+        states, 0 otherwise)."""
+        engine = _engine(protocol, solved_configuration(protocol))
+        rules = set(protocol.same_state_rule_states())
+        for s in range(protocol.num_states):
+            if s not in rules:
+                assert engine._ss_table[s] is None
+                continue
+            ti, tj = protocol.delta(s, s)
+            ops = tuple(
+                (st, d, d if st in rules else 0)
+                for st, d in _transition_ops(s, s, ti, tj)
+            )
+            assert engine._ss_table[s] == (ti, tj, ops)
+
+    def test_same_state_index_is_built_on_first_use(self):
+        """Same-state-only engines never build the fused index for the
+        fast loop; step() builds it from the live counts."""
+        protocol = AGProtocol(40)
+        engine = _engine(protocol, Configuration.all_in_state(0, 40, 40))
+        assert engine._fused_index is None
+        engine.run(max_events=50)
+        assert engine._fused_index is None
+        engine.snapshot()
+        assert engine._fused_index is None
+        engine.step()
+        assert engine._fused_index is not None
+        assert engine._fused.total == engine.productive_weight
+        assert engine.productive_weight == engine.recomputed_weight()
+        engine.run(max_events=engine.events + 50)
+        assert engine._fused_index is None
+        assert engine.productive_weight == engine.recomputed_weight()
 
     def test_tree_protocol_uses_lazy_pair_table(self):
         protocol = TreeRankingProtocol(9, k=2)

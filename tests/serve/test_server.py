@@ -205,6 +205,33 @@ class TestPauseResume:
         assert resumed["status"] == "done"
         assert resumed["result"] == reference["result"]
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="run() boundaries re-partition the sampler, so a served "
+        "job's trajectory depends on its 4096-event chunk grid",
+    )
+    def test_chunked_simulate_matches_one_shot_run(self):
+        """A served simulate job reproduces the one-shot engine run.
+
+        Today it does not: tree n=256 at seed 1 reaches silence after
+        11,559 events one-shot and after 12,304 served in chunks.  The
+        guarantee that holds is that park/resume is bit-identical on
+        the same chunk grid (the test above)."""
+        from repro.core.engine import build_engine
+
+        spec = JobSpec.from_legacy_kwargs(
+            protocol="tree", n=256, start="random", seed=1
+        )
+        protocol = spec.scenario.protocol.build()
+        engine, _ = build_engine(
+            protocol, spec.start_configuration(protocol), seed=spec.seed
+        )
+        assert engine.run()
+        served = execute_jobspec(spec)["result"]
+        assert (served["events"], served["interactions"]) == (
+            engine.events, engine.interactions
+        )
+
     def test_scenario_park_resume_is_bit_identical(self):
         spec = JobSpec.from_campaign("ag_corrupt_recover", scale="smoke",
                                      seed=3)
